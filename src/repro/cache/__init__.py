@@ -56,7 +56,7 @@ import hashlib
 import os
 from contextlib import contextmanager
 from pathlib import Path
-from typing import Dict, List, Mapping, Optional, Tuple
+from typing import TYPE_CHECKING, Dict, List, Mapping, Optional, Tuple
 
 from repro.cache.stores import (
     SCHEMA_VERSION,
@@ -67,6 +67,9 @@ from repro.cache.stores import (
     SqliteStore,
     StoreStats,
 )
+
+if TYPE_CHECKING:  # runtime import is lazy: invariants imports this package
+    from repro.petrinet.invariants import InvariantBasis
 
 __all__ = [
     "SCHEMA_VERSION",
@@ -387,12 +390,16 @@ def basis_cache_key(incidence_fp: str, max_rows: int) -> str:
 
 def load_invariant_basis(
     store: CacheStore, net, *, incidence_fp: str, max_rows: int
-) -> Optional[List[Dict[str, int]]]:
+) -> Optional[InvariantBasis]:
     """Fetch + validate a T-invariant basis; ``None`` on any doubt.
 
-    Every loaded vector is re-checked against ``C x = 0`` on the live net
-    before the basis is trusted (the invariant equivalent of schedule
-    replay-validation); a basis that fails is quarantined.
+    Returns an :class:`~repro.petrinet.invariants.InvariantBasis`.  Every
+    loaded vector is re-checked against ``C x = 0`` on the live net before
+    the basis is trusted (the invariant equivalent of schedule
+    replay-validation); a basis that fails is quarantined.  A record without
+    a ``complete`` flag replays as truncated: completeness that cannot be
+    shown is never assumed, because certificates built on the basis are
+    exact only when it holds every minimal invariant.
     """
     key = basis_cache_key(incidence_fp, max_rows)
     payload = store.get(KIND_BASIS, key)
@@ -421,7 +428,11 @@ def load_invariant_basis(
     except Exception:
         store.quarantine(KIND_BASIS, key, "basis failed validation against the live net")
         return None
-    return [dict(invariant) for invariant in basis]
+    from repro.petrinet.invariants import InvariantBasis
+
+    return InvariantBasis(
+        [dict(invariant) for invariant in basis], payload.get("complete") is True
+    )
 
 
 def store_invariant_basis(
@@ -430,8 +441,13 @@ def store_invariant_basis(
     incidence_fp: str,
     max_rows: int,
     basis: List[Dict[str, int]],
+    complete: bool,
 ) -> None:
-    """Persist a computed T-invariant basis under its incidence identity."""
+    """Persist a computed T-invariant basis under its incidence identity.
+
+    ``complete`` records whether the elimination ran without hitting
+    ``max_rows``; it travels with the vectors so a replayed basis keeps it.
+    """
     store.put(
         KIND_BASIS,
         basis_cache_key(incidence_fp, max_rows),
@@ -439,5 +455,6 @@ def store_invariant_basis(
             "incidence_fingerprint": incidence_fp,
             "max_rows": max_rows,
             "basis": [dict(invariant) for invariant in basis],
+            "complete": bool(complete),
         },
     )

@@ -34,8 +34,10 @@ from typing import Dict, Iterator, List, Optional, Tuple
 
 #: Version of the on-disk entry format.  Stamped into every wire record and
 #: into every cache key; entries written under any other version are ignored
-#: (and dropped on contact) instead of being interpreted.
-SCHEMA_VERSION = 1
+#: (and dropped on contact) instead of being interpreted.  Version 2: basis
+#: records carry a ``complete`` flag, and failure records may carry the
+#: structural-certificate and node-budget reasons.
+SCHEMA_VERSION = 2
 
 
 @dataclass

@@ -35,8 +35,9 @@ BACKENDS: Tuple[str, ...] = ("scalar", "batched", "kernel")
 
 #: EP node budget per search.  Every schedulable corpus case closes in a few
 #: hundred nodes (the smoke sweep's worst case is ~650), so this is ~30x
-#: headroom -- while keeping the expected-unschedulable cases, whose searches
-#: otherwise exhaust a >100k-node space before failing, cheap enough for CI.
+#: headroom.  The expected-unschedulable cases never reach it: the invariant
+#: precheck's T-allocation certificate rejects them before the search starts
+#: (their search space exceeds 100k nodes), and the harness insists on that.
 MAX_NODES = 20_000
 
 #: Pipeline stages in order; failures name the first stage that broke.
@@ -238,13 +239,15 @@ def _schedule_all_backends(
     sources: Sequence[str],
     spec: ScenarioSpec,
     started: float,
-) -> Union[CaseOutcome, Tuple[Dict[str, Schedule], Dict[str, bool]]]:
+) -> Union[CaseOutcome, Tuple[Dict[str, Schedule], Dict[str, bool], Dict[str, str]]]:
     """EP search on every backend; returns schedules or a failure outcome.
 
     Pins two invariants beyond "found a schedule": per-source success is
     identical across backends, and successful schedules are byte-identical
     (fingerprint equality), extending the scheduler's three-backend
-    differential fuzz to generated whole-system nets.
+    differential fuzz to generated whole-system nets.  The third element of
+    the result maps each ``backend:source`` whose failed search ran
+    (``tree_nodes != 0``, i.e. no structural certificate) to its reason.
     """
     per_backend: Dict[str, Dict[str, Any]] = {}
     for backend in BACKENDS:
@@ -287,7 +290,13 @@ def _schedule_all_backends(
         except ValueError as error:
             return _fail(spec, "schedule", str(error), started)
         schedules[source] = schedule
-    return schedules, success
+    searched = {
+        f"{backend}:{source}": per_backend[backend][source].failure_reason
+        for backend in BACKENDS
+        for source in sources
+        if not success[source] and per_backend[backend][source].tree_nodes != 0
+    }
+    return schedules, success, searched
 
 
 def run_case(spec: ScenarioSpec, *, max_rounds: int = 1_000_000) -> CaseOutcome:
@@ -304,7 +313,7 @@ def run_case(spec: ScenarioSpec, *, max_rounds: int = 1_000_000) -> CaseOutcome:
     outcome = _schedule_all_backends(linked, sources, spec, started)
     if isinstance(outcome, CaseOutcome):
         return outcome
-    schedules, success = outcome
+    schedules, success, searched = outcome
 
     expect_schedulable = bool(manifest["expected_schedulable"])
     all_schedulable = all(success.values())
@@ -317,7 +326,19 @@ def run_case(spec: ScenarioSpec, *, max_rounds: int = 1_000_000) -> CaseOutcome:
             schedulable=all_schedulable,
         )
     if not expect_schedulable:
-        # expected-failure case: all backends agreed it has no schedule, done
+        # expected-failure case: all backends agreed it has no schedule.  The
+        # cases are built to be rejected structurally (tree_nodes == 0); a
+        # failed search means the certificate no longer fires, and a search
+        # cut by the node budget would not prove the verdict at all.
+        if searched:
+            return _fail(
+                spec,
+                "schedule",
+                f"expected a structural unschedulability certificate, "
+                f"but the search ran: {searched}",
+                started,
+                schedulable=False,
+            )
         return CaseOutcome(
             name=spec.label(),
             family=spec.family,

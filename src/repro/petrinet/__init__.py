@@ -49,7 +49,9 @@ from repro.petrinet.reachability import (
     reachable_marking_matrix,
 )
 from repro.petrinet.invariants import (
+    InvariantBasis,
     incidence_matrix,
+    invariant_basis,
     t_invariant_basis,
     is_t_invariant,
 )
@@ -96,4 +98,6 @@ __all__ = [
     "solve_binate_covering",
     "structural_fingerprint",
     "t_invariant_basis",
+    "invariant_basis",
+    "InvariantBasis",
 ]

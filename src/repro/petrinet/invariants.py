@@ -15,7 +15,7 @@ another row's support.
 from __future__ import annotations
 
 from math import gcd
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -32,8 +32,27 @@ from repro.util import BoundedLRU
 # When the disk cache is active (repro.cache.activate / REPRO_CACHE=1) the
 # same key additionally hits the persistent store, so the elimination is
 # skipped across *processes*; loaded bases are re-verified against C x = 0
-# before being trusted.
-_BASIS_WARM_STORE: "BoundedLRU[Tuple[str, int], List[Dict[str, int]]]" = BoundedLRU(32)
+# before being trusted.  Every level stores the completeness bit with the
+# vectors, so a replayed basis is exactly as trustworthy as a computed one.
+_BASIS_WARM_STORE: "BoundedLRU[Tuple[str, int], InvariantBasis]" = BoundedLRU(32)
+
+
+class InvariantBasis(NamedTuple):
+    """A T-invariant basis plus whether the elimination ran to completion.
+
+    ``complete`` is True only when the Farkas elimination never hit its
+    ``max_rows`` cap, i.e. ``invariants`` holds *every* minimal-support
+    invariant of the net.  Structural certificates that reason about the
+    absence of an invariant are exact only on a complete basis; a truncated
+    one still lists valid invariants, but not necessarily all of them.
+    """
+
+    invariants: List[Dict[str, int]]
+    complete: bool
+
+    def copy(self) -> "InvariantBasis":
+        """A copy with fresh vector dicts (callers may mutate what they get)."""
+        return InvariantBasis([dict(inv) for inv in self.invariants], self.complete)
 
 
 def incidence_matrix(net: PetriNet) -> Tuple[np.ndarray, List[str], List[str]]:
@@ -97,7 +116,8 @@ def t_invariant_basis(net: PetriNet, *, max_rows: int = 4096) -> List[Dict[str, 
 
     ``max_rows`` caps the intermediate tableau to keep the elimination from
     exploding on pathological nets; when the cap is hit the result is still a
-    set of valid invariants but may not contain every minimal one.
+    set of valid invariants but may not contain every minimal one
+    (:func:`invariant_basis` reports which case occurred).
 
     The basis is cached at two levels: on the net's indexed snapshot (so
     repeated calls for the same structural version -- one per scheduled
@@ -106,33 +126,43 @@ def t_invariant_basis(net: PetriNet, *, max_rows: int = 4096) -> List[Dict[str, 
     structurally identical net *rebuilt* by a config sweep replays the basis
     instead of re-eliminating.
     """
+    return invariant_basis(net, max_rows=max_rows).invariants
+
+
+def invariant_basis(net: PetriNet, *, max_rows: int = 4096) -> InvariantBasis:
+    """:func:`t_invariant_basis` plus its completeness bit.
+
+    ``complete`` is False when the tableau was cut at ``max_rows`` at any
+    elimination step.  The bit shares every cache level with the vectors.
+    """
     cache_key = ("t_invariant_basis", max_rows)
     cache = net.indexed().analysis_cache
     cached = cache.get(cache_key)
     if cached is not None:
-        return [dict(invariant) for invariant in cached]
+        return cached.copy()
     incidence_fp = incidence_fingerprint(net)
     warm_key = (incidence_fp, max_rows)
     warmed = _BASIS_WARM_STORE.get(warm_key)
     if warmed is not None:
-        cache[cache_key] = [dict(invariant) for invariant in warmed]
-        return [dict(invariant) for invariant in warmed]
+        cache[cache_key] = warmed.copy()
+        return warmed.copy()
     disk = artifact_cache.active_store()
     if disk is not None:
         loaded = artifact_cache.load_invariant_basis(
             disk, net, incidence_fp=incidence_fp, max_rows=max_rows
         )
         if loaded is not None:
-            _BASIS_WARM_STORE.put(warm_key, [dict(inv) for inv in loaded])
-            cache[cache_key] = [dict(inv) for inv in loaded]
+            _BASIS_WARM_STORE.put(warm_key, loaded.copy())
+            cache[cache_key] = loaded.copy()
             return loaded
     matrix, _places, transitions = incidence_matrix(net)
     n_places, n_transitions = matrix.shape
     if n_transitions == 0:
-        return []
+        return InvariantBasis([], True)
     # tableau rows: [C^T row | identity row]
     tableau = np.hstack([matrix.T, np.eye(n_transitions, dtype=np.int64)])
     rows: List[np.ndarray] = [tableau[i].copy() for i in range(n_transitions)]
+    complete = True
 
     for column in range(n_places):
         positive = [row for row in rows if row[column] > 0]
@@ -151,9 +181,12 @@ def t_invariant_basis(net: PetriNet, *, max_rows: int = 4096) -> List[Dict[str, 
                     break
             if len(combined) > max_rows:
                 break
+        if len(combined) > max_rows:
+            complete = False
         rows = _drop_non_minimal(combined, n_transitions)
         if len(rows) > max_rows:
             rows = rows[:max_rows]
+            complete = False
 
     invariants: List[Dict[str, int]] = []
     seen = set()
@@ -171,13 +204,18 @@ def t_invariant_basis(net: PetriNet, *, max_rows: int = 4096) -> List[Dict[str, 
             {transitions[i]: int(v) for i, v in enumerate(invariant_part) if v != 0}
         )
     invariants.sort(key=lambda inv: (len(inv), sorted(inv.items())))
-    cache[cache_key] = [dict(invariant) for invariant in invariants]
-    _BASIS_WARM_STORE.put(warm_key, [dict(invariant) for invariant in invariants])
+    basis = InvariantBasis(invariants, complete)
+    cache[cache_key] = basis.copy()
+    _BASIS_WARM_STORE.put(warm_key, basis.copy())
     if disk is not None:
         artifact_cache.store_invariant_basis(
-            disk, incidence_fp=incidence_fp, max_rows=max_rows, basis=invariants
+            disk,
+            incidence_fp=incidence_fp,
+            max_rows=max_rows,
+            basis=invariants,
+            complete=complete,
         )
-    return invariants
+    return basis
 
 
 def is_t_invariant(net: PetriNet, vector: Dict[str, int]) -> bool:

@@ -72,6 +72,7 @@ from repro.scheduling.termination import (
     FrontierSplit,
     TerminationCondition,
     default_termination,
+    node_budgets,
     split_frontier_conditions,
 )
 
@@ -105,12 +106,31 @@ class SchedulerOptions:
       ``None`` builds the default composite (irrelevance criterion +
       user place bounds + ``max_nodes`` budget).  Custom conditions make
       the search uncacheable by the warm-start layers.
-    * ``max_nodes`` -- hard budget on scheduling-tree nodes; exceeded
-      searches fail with a budget reason instead of running forever.
+    * ``max_nodes`` -- hard budget on scheduling-tree nodes; a search
+      that reaches it fails with the reason ``"node budget of N exhausted
+      before an entering point was found"`` instead of running forever.
+      Such a failure proves nothing about the net; a search that fails
+      under the budget reports ``"no entering point reaching the initial
+      marking was found"`` and was exhaustive over the pruned tree.
     * ``validate`` -- run ``Schedule.validate`` (the five Section 4.1
       properties) on every schedule before returning it.
-    * ``invariant_precheck`` -- fail fast when no T-invariant fires the
-      source transition (Section 5.5.2's non-schedulability test).
+    * ``invariant_precheck`` -- fail fast, with ``tree_nodes == 0``, when
+      the T-invariant basis proves that no schedule exists.  Two
+      structural tests run before any search:
+
+      - no T-invariant fires the source transition (Section 5.5.2);
+      - the T-allocation certificate: some non-source ECS ``E`` with two
+        or more transitions has a member ``t`` such that every
+        minimal-support T-invariant fires a member of ``E`` other than
+        ``t``.  Sound because a schedule is finite and every node has a
+        successor: following ``t`` at each ``E`` node closes a cycle, and
+        that cycle's firing vector is a T-invariant zero on ``E - {t}``,
+        whose support contains some minimal invariant's.  The reason names
+        ``E`` and ``t``.
+
+      The certificate is exact only on a complete basis, so it stays
+      silent when the Farkas elimination hit its ``max_rows`` cap (or the
+      completeness of a replayed basis is unknown).
     * ``defer_sources`` -- the Section 4.4 pruning rule: fire source ECSs
       only when nothing else yields an entering point.
     * ``backend`` -- the hot-loop implementation: ``"scalar"``,
@@ -161,7 +181,7 @@ class SchedulerOptions:
     termination: Optional[TerminationCondition] = None
     max_nodes: int = 200_000
     validate: bool = True
-    # Abort early when no T-invariant covers the source transition
+    # Abort early when the T-invariant basis proves no schedule exists
     invariant_precheck: bool = True
     # "Fire a source transition only when the system cannot fire anything
     # else" (Section 4.4) applied as a pruning rule: source ECSs are only
@@ -806,21 +826,57 @@ class _EPSearch:
         return a if self.tree.nodes[a].depth <= self.tree.nodes[b].depth else b
 
     # -- main entry -----------------------------------------------------------
+    def _structural_failure(self) -> Optional[str]:
+        """The invariant precheck: a reason when the net provably has no schedule.
+
+        Both tests read the basis the invariant-guided heuristic already
+        holds: no invariant fires the source (Section 5.5.2), or some choice
+        cluster has a resolution every minimal invariant contradicts
+        (:meth:`InvariantGuidedOrdering.allocation_certificate`).
+        """
+        if not (
+            self.options.invariant_precheck
+            and isinstance(self.heuristic, InvariantGuidedOrdering)
+        ):
+            return None
+        if not self.heuristic.source_is_coverable():
+            return "no T-invariant fires the source transition; no cyclic schedule can exist"
+        witness = self.heuristic.allocation_certificate()
+        if witness is None:
+            return None
+        ecs, transition = witness
+        members = ", ".join(sorted(ecs))
+        return (
+            f"every minimal T-invariant fires a transition of ECS {{{members}}} "
+            f"other than {transition}, so resolving that choice to {transition} "
+            "every time closes no cycle; no cyclic schedule can exist"
+        )
+
+    def _search_failure(self) -> str:
+        """Why a search that ran found no entering point.
+
+        A tree that reached a node budget (``max_nodes`` or a
+        :class:`NodeBudget` leaf of the termination condition) was cut, so
+        the failure proves nothing about the net; only a search that stayed
+        under every budget was exhaustive.
+        """
+        budget = min([self.options.max_nodes, *node_budgets(self.termination)])
+        if len(self.tree) >= budget:
+            return f"node budget of {budget} exhausted before an entering point was found"
+        return "no entering point reaching the initial marking was found"
+
     def run(self) -> SchedulerResult:
         start = time.monotonic()
-        if self.options.invariant_precheck and isinstance(self.heuristic, InvariantGuidedOrdering):
-            if not self.heuristic.source_is_coverable():
-                return SchedulerResult(
-                    source_transition=self.source,
-                    schedule=None,
-                    tree_nodes=0,
-                    elapsed_seconds=time.monotonic() - start,
-                    failure_reason=(
-                        "no T-invariant fires the source transition; "
-                        "no cyclic schedule can exist"
-                    ),
-                    objective=self.options.objective,
-                )
+        structural = self._structural_failure()
+        if structural is not None:
+            return SchedulerResult(
+                source_transition=self.source,
+                schedule=None,
+                tree_nodes=0,
+                elapsed_seconds=time.monotonic() - start,
+                failure_reason=structural,
+                objective=self.options.objective,
+            )
         initial = self.inet.initial_vec
         root = self.tree.add_root(initial)
         self.tree.nodes[root].ecs_choice = frozenset({self.source})
@@ -856,7 +912,7 @@ class _EPSearch:
                 schedule=None,
                 tree_nodes=len(self.tree),
                 elapsed_seconds=time.monotonic() - start,
-                failure_reason="no entering point reaching the initial marking was found",
+                failure_reason=self._search_failure(),
                 counters=self.counters,
                 objective=self.options.objective,
             )

@@ -11,9 +11,12 @@ created and the size of the resulting schedule.  The paper proposes:
   condition, postpone uncontrollable source ECSs, and prefer single-transition
   ECSs.
 
-The promising-vector machinery also yields a sufficient non-schedulability
-condition: if the net has no T-invariant whose support contains the source
-transition, no cyclic schedule exists.
+The promising-vector machinery also yields two sufficient non-schedulability
+conditions: if the net has no T-invariant whose support contains the source
+transition, no cyclic schedule exists; and if some choice cluster has a
+resolution that every minimal T-invariant contradicts, no cyclic schedule
+exists either (the T-allocation certificate,
+:meth:`InvariantGuidedOrdering.allocation_certificate`).
 """
 
 from __future__ import annotations
@@ -23,7 +26,7 @@ from typing import Callable, Dict, FrozenSet, List, Mapping, Optional, Sequence,
 
 from repro.petrinet.analysis import StructuralAnalysis
 from repro.petrinet.covering import build_candidate_invariant_problem, solve_binate_covering
-from repro.petrinet.invariants import combine_invariants, t_invariant_basis
+from repro.petrinet.invariants import combine_invariants, invariant_basis
 from repro.petrinet.marking import Marking
 from repro.petrinet.net import PetriNet
 
@@ -168,6 +171,10 @@ class InvariantGuidedOrdering(ECSOrderingHeuristic):
     necessary fireability condition of Theorem 5.3 (every pseudo-enabled ECS
     of a process appearing in the vector contributes a transition), using the
     binate-covering formulation.
+
+    ``invariants`` overrides the net's computed basis; such a basis counts
+    as possibly incomplete (``base_complete`` is False), which keeps
+    :meth:`allocation_certificate` silent.
     """
 
     def __init__(
@@ -181,7 +188,10 @@ class InvariantGuidedOrdering(ECSOrderingHeuristic):
         self.net = net
         self.analysis = analysis
         self.source_transition = source_transition
-        self.base = invariants if invariants is not None else t_invariant_basis(net)
+        if invariants is not None:
+            self.base, self.base_complete = invariants, False
+        else:
+            self.base, self.base_complete = invariant_basis(net)
         self.tie_break = TieBreakOrdering(analysis)
         self._candidate = self._select_candidate_invariant()
         # dense view of the candidate invariant (tids / counts), built lazily
@@ -241,6 +251,58 @@ class InvariantGuidedOrdering(ECSOrderingHeuristic):
         """False when no T-invariant fires the source transition, a sufficient
         condition for non-schedulability (Section 5.5.2)."""
         return any(self.source_transition in invariant for invariant in self.base)
+
+    def allocation_certificate(self) -> Optional[Tuple[ECS, str]]:
+        """A T-allocation witness ``(E, t)`` proving the net unschedulable.
+
+        ``E`` is a non-source ECS with two or more transitions and ``t`` one
+        of them such that every minimal-support T-invariant fires some
+        member of ``E`` other than ``t``.  No schedule can then exist: a
+        schedule is finite and every node has a successor, so following
+        ``t`` at every node that resolves ``E`` (and any child elsewhere)
+        must close a cycle.  That cycle's firing vector is a T-invariant that
+        is zero on ``E - {t}``, and the support of every non-zero
+        T-invariant contains the support of a minimal one -- which would
+        then avoid ``E - {t}`` too.  The cycle need not fire the source (a
+        loop that never awaits the environment is still a cycle), so the
+        rule deliberately asks nothing of the source's entry.
+
+        The argument needs *every* minimal invariant, so the method returns
+        ``None`` unless the basis is complete (the elimination never hit
+        ``max_rows``).  It also returns ``None`` when no witness exists;
+        the first witness in sorted ECS / transition order is returned
+        otherwise, so the verdict is deterministic.
+        """
+        if not self.base_complete:
+            return None
+        clusters = sorted(
+            tuple(sorted(ecs))
+            for ecs in self.analysis.partition
+            if len(ecs) > 1 and not self.analysis.is_source_ecs(ecs)
+        )
+        cluster_of = {t: index for index, names in enumerate(clusters) for t in names}
+        # per cluster: how many invariants fire any member, and the members
+        # some invariant fires alone (that invariant avoids the others)
+        touching = [0] * len(clusters)
+        alone: List[Set[str]] = [set() for _ in clusters]
+        for invariant in self.base:
+            hits: Dict[int, List[str]] = {}
+            for transition in invariant:
+                index = cluster_of.get(transition)
+                if index is not None:
+                    hits.setdefault(index, []).append(transition)
+            for index, members in hits.items():
+                touching[index] += 1
+                if len(members) == 1:
+                    alone[index].add(members[0])
+        for index, names in enumerate(clusters):
+            if touching[index] < len(self.base):
+                # some invariant avoids the whole cluster: every t is covered
+                continue
+            for transition in names:
+                if transition not in alone[index]:
+                    return frozenset(names), transition
+        return None
 
     # -- promising vector ------------------------------------------------------
     def promising_vector(self, path_firings: Mapping[str, int]) -> Dict[str, int]:

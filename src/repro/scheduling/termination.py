@@ -500,6 +500,15 @@ class FrontierSplit:
         return False
 
 
+def node_budgets(condition: TerminationCondition) -> List[int]:
+    """``max_nodes`` of every :class:`NodeBudget` leaf of a condition tree."""
+    if isinstance(condition, CompositeCondition):
+        return [budget for sub in condition.conditions for budget in node_budgets(sub)]
+    if isinstance(condition, NodeBudget):
+        return [condition.max_nodes]
+    return []
+
+
 def split_frontier_conditions(
     condition: TerminationCondition,
 ) -> Optional[FrontierSplit]:

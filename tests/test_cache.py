@@ -45,7 +45,7 @@ from repro.cache import (
 from repro.cache.cli import main as cache_cli
 from repro.cache.stores import SCHEMA_VERSION, decode_wire, encode_wire
 from repro.petrinet.fingerprint import incidence_fingerprint, structural_fingerprint
-from repro.petrinet.invariants import t_invariant_basis
+from repro.petrinet.invariants import invariant_basis, t_invariant_basis
 from repro.scheduling.ep import SchedulerOptions, find_all_schedules, find_schedule
 from repro.scheduling.serialize import result_to_record, schedule_to_json
 from repro.scheduling.termination import NodeBudget
@@ -413,6 +413,35 @@ def test_invariant_basis_persists_and_validates(tmp_path):
     invariants_module._BASIS_WARM_STORE.clear()
     assert load_invariant_basis(store, net, incidence_fp=fp, max_rows=4096) is None
     assert t_invariant_basis(figure_5()) == basis
+
+
+@pytest.mark.parametrize("max_rows, complete", [(4096, True), (2, False)])
+def test_invariant_basis_disk_replay_keeps_the_completeness_bit(tmp_path, max_rows, complete):
+    from repro.petrinet import invariants as invariants_module
+
+    store = artifact_cache.activate(path=tmp_path / "cache")
+    computed = invariant_basis(figure_5(), max_rows=max_rows)
+    assert computed.complete is complete
+    invariants_module._BASIS_WARM_STORE.clear()
+    hits_before = store.stats.hits
+    replayed = invariant_basis(figure_5(), max_rows=max_rows)
+    assert store.stats.hits == hits_before + 1
+    assert replayed == computed
+
+
+def test_invariant_basis_record_without_the_bit_replays_as_truncated(tmp_path):
+    store = artifact_cache.activate(path=tmp_path / "cache")
+    net = figure_5()
+    basis = t_invariant_basis(net)
+    fp = incidence_fingerprint(net)
+    store.put(
+        "t_invariant_basis",
+        artifact_cache.basis_cache_key(fp, 4096),
+        {"incidence_fingerprint": fp, "max_rows": 4096, "basis": basis},
+    )
+    loaded = load_invariant_basis(store, net, incidence_fp=fp, max_rows=4096)
+    assert loaded.invariants == basis
+    assert loaded.complete is False
 
 
 def test_parallel_read_through_and_parent_writes(tmp_path):

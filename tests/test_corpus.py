@@ -154,6 +154,21 @@ class TestDifferential:
                 raise_on_failure=False,
             )
             assert not all(r.success for r in results.values()), backend
+            for result in results.values():
+                # proved by the T-allocation certificate, before any search
+                assert result.tree_nodes == 0, backend
+                assert "ECS {u1.t1, u1.t4}" in result.failure_reason, backend
+
+    def test_unschedulable_case_needs_the_certificate(self, monkeypatch):
+        """A budget-cut search is not accepted as the expected failure."""
+        from repro.scheduling.heuristics import InvariantGuidedOrdering
+
+        monkeypatch.setattr(InvariantGuidedOrdering, "allocation_certificate", lambda self: None)
+        monkeypatch.setattr("repro.corpus.differential.MAX_NODES", 300)
+        outcome = run_case(make_unschedulable_spec(0))
+        assert not outcome.passed
+        assert outcome.stage == "schedule"
+        assert "node budget of 300 exhausted" in outcome.message
 
     def test_unschedulable_case_passes_as_expected_failure(self):
         outcome = run_case(make_unschedulable_spec(0))

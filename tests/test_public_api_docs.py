@@ -42,6 +42,8 @@ PUBLIC_API = [
     ("repro.petrinet.fingerprint", "structural_fingerprint"),
     ("repro.petrinet.fingerprint", "incidence_fingerprint"),
     ("repro.petrinet.invariants", "t_invariant_basis"),
+    ("repro.petrinet.invariants", "invariant_basis"),
+    ("repro.petrinet.invariants", "InvariantBasis"),
     # termination conditions
     ("repro.scheduling.termination", "TerminationCondition"),
     ("repro.scheduling.termination", "IrrelevanceCriterion"),
